@@ -11,8 +11,9 @@
 //!   steady state: that is the contract the allocation-free refactor
 //!   established, and this binary is the tripwire that keeps it.
 //!
-//! * **System probe** — steps a full `GpuSystem` and reports allocations
-//!   per cycle. The end-to-end loop is *not* zero-alloc by design (CTA
+//! * **System probes** — step a full `GpuSystem` (sequential, sharded
+//!   inline, and sharded on the worker pool) and report allocations per
+//!   cycle. The end-to-end loop is *not* zero-alloc by design (CTA
 //!   dispatch boxes new wavefront traces; every generated memory
 //!   instruction carries its coalesced-access `Vec`), so this probe
 //!   asserts a generous per-cycle bound instead — enough headroom for
@@ -79,7 +80,7 @@ struct Report {
     failed: bool,
     /// `(slug, allocs, bytes)` per zero-alloc component probe.
     probes: Vec<(&'static str, u64, u64)>,
-    /// Allocations per cycle for the system probes (worst of the two).
+    /// Allocations per cycle for the system probes (worst of them).
     per_step: f64,
 }
 
@@ -314,12 +315,13 @@ fn probe_system(report: &mut Report) {
     }
 }
 
-fn probe_sharded_system(report: &mut Report) {
-    // The sharded step loop (worker pool off, so the probe measures the
-    // partitioning machinery itself: mailbox swaps, per-cluster epoch
-    // batches, presence-log replay) is held to the same per-cycle bound
-    // as the sequential loop — sharding must not reintroduce per-event
-    // heap traffic.
+fn probe_sharded_system(report: &mut Report, threads: bool) {
+    // The sharded step loop is held to the same per-cycle bound as the
+    // sequential loop — sharding must not reintroduce per-event heap
+    // traffic. Threads off measures the partitioning machinery itself
+    // (staging buffers, deferred-operation lists, presence-log replay);
+    // threads on adds the worker pool's per-region hand-off, barrier and
+    // per-step recall (every `step` brings the domains home).
     const MAX_ALLOCS_PER_STEP: f64 = 8.0;
     const WARMUP_STEPS: u64 = 20_000;
     const PROBE_STEPS: u64 = 20_000;
@@ -328,7 +330,7 @@ fn probe_sharded_system(report: &mut Report) {
     let mut sys = GpuSystem::build(&cfg, &Design::flagship(&cfg), &app, SimOptions::default())
         .expect("flagship design builds");
     sys.set_shards(2);
-    sys.set_shard_threads(false);
+    sys.set_shard_threads(threads);
     for _ in 0..WARMUP_STEPS {
         sys.step();
     }
@@ -339,9 +341,12 @@ fn probe_sharded_system(report: &mut Report) {
     });
     let per_step = allocs as f64 / PROBE_STEPS as f64;
     let ok = per_step <= MAX_ALLOCS_PER_STEP;
+    let label = if threads { "threaded" } else { "sharded" };
     println!(
-        "sharded step loop (bound {MAX_ALLOCS_PER_STEP}/cycle)         {} ({per_step:.2} allocs/cycle, {bytes} bytes over {PROBE_STEPS} cycles)",
+        "{label} step loop (bound {MAX_ALLOCS_PER_STEP}/cycle){:pad$} {} ({per_step:.2} allocs/cycle, {bytes} bytes over {PROBE_STEPS} cycles)",
+        "",
         if ok { "OK  " } else { "FAIL" },
+        pad = 15 - label.len(),
     );
     report.per_step = report.per_step.max(per_step);
     if !ok {
@@ -362,7 +367,8 @@ fn main() {
     probe_registry(&mut report);
     probe_store_mem_hit(&mut report);
     probe_system(&mut report);
-    probe_sharded_system(&mut report);
+    probe_sharded_system(&mut report, false);
+    probe_sharded_system(&mut report, true);
     if let Some(path) = json_path {
         if let Err(e) = std::fs::write(&path, report.to_json()) {
             eprintln!("alloc-probe: cannot write {}: {e}", path.display());

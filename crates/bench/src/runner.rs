@@ -1518,6 +1518,9 @@ mod tests {
             RunRequest::new(app, Design::Baseline),
             RunRequest::new(app, Design::Private { nodes: 40 }),
         ];
+        // Supervised sweeps read the process-wide chaos engine and write
+        // the process-wide recovery log; serialize with the chaos test.
+        let _guard = test_env_lock();
         let out = run_apps(&reqs, Scale::Smoke);
         assert_eq!(out[0].design, "Baseline");
         assert_eq!(out[1].design, "Pr40");
@@ -1529,6 +1532,9 @@ mod tests {
         let app = by_name("C-BLK").unwrap();
         // An invalid node count fails Design::topology at build time.
         let bad = RunRequest::new(app, Design::Shared { nodes: 77 });
+        // The quarantine lands in the process-wide recovery log, which the
+        // chaos test audits; serialize with it.
+        let _guard = test_env_lock();
         let err = catch_unwind(AssertUnwindSafe(|| run_apps(&[bad], Scale::Smoke)))
             .expect_err("must propagate the worker panic");
         let msg = panic_message(err.as_ref());

@@ -184,6 +184,23 @@ impl Dcl1Node {
         self.q3.pop()
     }
 
+    /// Requests bound for the L2 (Q3), oldest first.
+    pub fn l2_requests(&self) -> impl Iterator<Item = &Txn> {
+        self.q3.iter()
+    }
+
+    /// Free Q4 slots: L2 replies this node can accept before the next
+    /// tick drains any.
+    pub fn l2_reply_room(&self) -> usize {
+        self.q4.free_slots()
+    }
+
+    /// Counts one replicated miss whose presence query a deferred
+    /// [`PresenceSink`] resolved after the tick that missed.
+    pub fn credit_replicated_miss(&mut self) {
+        self.stats.replicated_misses.inc();
+    }
+
     /// Peeks the next reply bound for a core (head of Q2).
     pub fn peek_reply(&self) -> Option<&Txn> {
         self.q2.front()
@@ -414,7 +431,7 @@ impl Dcl1Node {
                                 }
                                 self.stats.accesses.inc();
                                 self.stats.misses.inc();
-                                if presence.copies(line) > 0 {
+                                if presence.replicated_miss(line) {
                                     self.stats.replicated_misses.inc();
                                 }
                                 false
@@ -460,7 +477,7 @@ impl Dcl1Node {
                             }
                             LookupResult::Miss => {
                                 self.stats.misses.inc();
-                                if presence.copies(txn.line) > 0 {
+                                if presence.replicated_miss(txn.line) {
                                     self.stats.replicated_misses.inc();
                                 }
                             }

@@ -19,16 +19,18 @@ use dcl1_common::{FlatMap, LineAddr};
 
 /// Presence instrumentation as seen by a cache node's tick.
 ///
-/// The sequential machine hands nodes the [`PresenceMap`] directly; the
-/// sharded machine hands each shard a [`PresenceSession`] — a read-only
-/// snapshot of the map plus a private delta log — so node ticks never
-/// contend on shared state and the merged result is independent of shard
-/// scheduling. Presence feeds only the replication *measurements* (never
-/// timing), so deferring cross-shard visibility of a fill/evict to the
-/// next cycle's barrier is a sound relaxation.
+/// The sequential reference hands a node the [`PresenceMap`] directly;
+/// the machine hands each node tick a [`PresenceSession`] — a private
+/// delta-and-query log — so node ticks never read shared state and the
+/// merged result is independent of shard scheduling. Presence feeds only
+/// the replication *measurements* (never timing), so deferring both the
+/// visibility of a fill/evict and the answer to a replication query to
+/// the coordinator's end-of-cycle replay is a sound relaxation.
 pub trait PresenceSink {
-    /// Copies of `line` currently visible to this observer.
-    fn copies(&self, line: LineAddr) -> u32;
+    /// Reports a miss on `line`; returns `true` when it is already known
+    /// to be replicated (another copy resident). A deferring sink returns
+    /// `false` and credits the node later if the answer is yes.
+    fn replicated_miss(&mut self, line: LineAddr) -> bool;
     /// Records that this observer's cache filled `line`.
     fn on_fill(&mut self, line: LineAddr);
     /// Records that this observer's cache dropped `line`.
@@ -36,8 +38,8 @@ pub trait PresenceSink {
 }
 
 impl PresenceSink for PresenceMap {
-    fn copies(&self, line: LineAddr) -> u32 {
-        PresenceMap::copies(self, line)
+    fn replicated_miss(&mut self, line: LineAddr) -> bool {
+        self.copies(line) > 0
     }
 
     fn on_fill(&mut self, line: LineAddr) {
@@ -49,13 +51,17 @@ impl PresenceSink for PresenceMap {
     }
 }
 
-/// A shard's private log of presence deltas for one epoch, replayed into
-/// the shared [`PresenceMap`] at the barrier in deterministic shard/node
-/// order. Reused across epochs; steady-state allocation-free once warm.
+/// A domain's private log of presence effects for one cycle, resolved
+/// and replayed into the shared [`PresenceMap`] by the coordinator in
+/// deterministic domain/node order. Reused across cycles; steady-state
+/// allocation-free once warm.
 #[derive(Debug, Default)]
 pub struct PresenceLog {
     /// `(line, +1 fill / -1 evict)` events in occurrence order.
     events: Vec<(LineAddr, i8)>,
+    /// `(node, line)` replication queries, one per miss, in occurrence
+    /// order (`node` is the logging domain's local node index).
+    queries: Vec<(usize, LineAddr)>,
 }
 
 impl PresenceLog {
@@ -64,19 +70,26 @@ impl PresenceLog {
         PresenceLog::default()
     }
 
-    /// Net copy delta this log holds for `line`. The per-epoch event list
-    /// is a handful of fills/evicts, so a linear scan beats any map.
-    fn delta(&self, line: LineAddr) -> i64 {
-        self.events
-            .iter()
-            .filter(|&&(l, _)| l == line)
-            .map(|&(_, d)| i64::from(d))
-            .sum()
+    /// True when no deltas or queries are pending.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty() && self.queries.is_empty()
     }
 
-    /// True when no deltas are pending.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+    /// Answers the pending replication queries against `map`, calling
+    /// `replicated(node)` for each miss whose line has a resident copy,
+    /// and clears them. Every domain's queries must be resolved before
+    /// any domain's deltas are applied, so each query sees the
+    /// cycle-start map.
+    pub fn resolve_queries(&mut self, map: &PresenceMap, mut replicated: impl FnMut(usize)) {
+        if self.queries.is_empty() {
+            return;
+        }
+        for &(node, line) in &self.queries {
+            if map.copies(line) > 0 {
+                replicated(node);
+            }
+        }
+        self.queries.clear();
     }
 
     /// Replays the pending deltas into `map` in occurrence order and
@@ -86,6 +99,9 @@ impl PresenceLog {
     /// evicts lines its own cache holds, and every holder contributes at
     /// least one copy to the shared count.
     pub fn apply_to(&mut self, map: &mut PresenceMap) {
+        if self.events.is_empty() {
+            return;
+        }
         for &(line, d) in &self.events {
             if d > 0 {
                 map.on_fill(line);
@@ -97,32 +113,31 @@ impl PresenceLog {
     }
 }
 
-/// One shard's view of presence during a parallel region.
+/// One node tick's view of presence.
 ///
-/// **Reads are snapshot-only**: `copies` answers from the cycle-start
-/// barrier state, never from any same-cycle fill or evict (not even this
-/// shard's own). That makes the replication measurement a pure function of
-/// the snapshot — identical for one shard or eight — where the old
-/// sequential machine let node `n` see fills from nodes `0..n` of the same
-/// cycle, an ordering artifact no hardware property depends on. Writes go
-/// to the private log, replayed at the barrier.
+/// **Queries are snapshot-only**: a miss's replication is answered from
+/// the cycle-start map, never from any same-cycle fill or evict (not even
+/// this node's own). That makes the replication measurement a pure
+/// function of the snapshot — identical for one shard or eight. Writes
+/// and queries go to the domain's log, resolved and replayed by the
+/// coordinator.
 #[derive(Debug)]
 pub struct PresenceSession<'a> {
-    base: &'a PresenceMap,
     log: &'a mut PresenceLog,
+    node: usize,
 }
 
 impl<'a> PresenceSession<'a> {
-    /// Opens a session over the barrier snapshot `base`, accumulating
-    /// deltas into `log`.
-    pub fn new(base: &'a PresenceMap, log: &'a mut PresenceLog) -> Self {
-        PresenceSession { base, log }
+    /// Opens a session logging into `log` on behalf of local node `node`.
+    pub fn new(log: &'a mut PresenceLog, node: usize) -> Self {
+        PresenceSession { log, node }
     }
 }
 
 impl PresenceSink for PresenceSession<'_> {
-    fn copies(&self, line: LineAddr) -> u32 {
-        self.base.copies(line)
+    fn replicated_miss(&mut self, line: LineAddr) -> bool {
+        self.log.queries.push((self.node, line));
+        false
     }
 
     fn on_fill(&mut self, line: LineAddr) {
@@ -130,12 +145,6 @@ impl PresenceSink for PresenceSession<'_> {
     }
 
     fn on_evict(&mut self, line: LineAddr) {
-        // The line may have been filled earlier this same cycle (visible
-        // only in the log), so the sanity check consults snapshot + log.
-        debug_assert!(
-            i64::from(self.base.copies(line)) + self.log.delta(line) > 0,
-            "session evict of untracked line {line}"
-        );
         self.log.events.push((line, -1));
     }
 }
@@ -283,11 +292,11 @@ mod tests {
         assert_eq!(report, vec![(10, 2), (20, 1), (30, 1)]);
     }
 
-    /// Session reads are snapshot-only (shard-count invariant); writes
-    /// log privately and replay at the barrier, including the
-    /// fill-then-evict-same-cycle case.
+    /// Session queries are snapshot-only (shard-count invariant): every
+    /// log's queries resolve against the cycle-start map before any log's
+    /// deltas replay, including the fill-then-evict-same-cycle case.
     #[test]
-    fn session_snapshot_reads_and_ordered_replay() {
+    fn session_snapshot_queries_and_ordered_replay() {
         let mut map = PresenceMap::with_capacity(8);
         let l = LineAddr::new(42);
         let fresh = LineAddr::new(43);
@@ -296,26 +305,25 @@ mod tests {
         let mut log_a = PresenceLog::new();
         let mut log_b = PresenceLog::new();
         {
-            let mut a = PresenceSession::new(&map, &mut log_a);
-            assert_eq!(PresenceSink::copies(&a, l), 1, "session sees the snapshot");
+            let mut a = PresenceSession::new(&mut log_a, 0);
             a.on_fill(l);
-            assert_eq!(
-                PresenceSink::copies(&a, l),
-                1,
-                "same-cycle fills are invisible to reads"
-            );
-            // Fill-then-evict of a brand-new line within one cycle: legal,
-            // the evict's sanity check sees the logged fill.
+            assert!(!a.replicated_miss(l), "a session defers the answer");
+            // Fill-then-evict of a brand-new line within one cycle: legal.
             a.on_fill(fresh);
             a.on_evict(fresh);
+            assert!(!a.replicated_miss(fresh));
         }
         {
-            let mut b = PresenceSession::new(&map, &mut log_b);
-            // Shard B holds the pre-existing copy and evicts it; it cannot
-            // see A's uncommitted fill.
-            assert_eq!(PresenceSink::copies(&b, l), 1);
+            // Shard B holds the pre-existing copy and evicts it; its query
+            // still sees that copy, and not A's uncommitted fill.
+            let mut b = PresenceSession::new(&mut log_b, 3);
             b.on_evict(l);
+            assert!(!b.replicated_miss(l));
         }
+        let mut credited = Vec::new();
+        log_a.resolve_queries(&map, |n| credited.push(('a', n)));
+        log_b.resolve_queries(&map, |n| credited.push(('b', n)));
+        assert_eq!(credited, [('a', 0), ('b', 3)], "only line 42 had a copy at cycle start");
         log_a.apply_to(&mut map);
         log_b.apply_to(&mut map);
         assert!(log_a.is_empty() && log_b.is_empty());

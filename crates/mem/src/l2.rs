@@ -317,9 +317,29 @@ impl<T> L2Slice<T> {
         }
     }
 
+    /// The reply [`pop_reply`](L2Slice::pop_reply) would return now, if
+    /// its latency has elapsed.
+    pub fn peek_reply(&self) -> Option<&L2Reply<T>> {
+        match self.pending_replies.front() {
+            Some((ready, r)) if *ready <= self.now => Some(r),
+            _ => None,
+        }
+    }
+
     /// Pops the next request destined for this slice's memory controller.
     pub fn pop_dram(&mut self) -> Option<DramAccess> {
         self.dram_out.pop_front()
+    }
+
+    /// The request [`pop_dram`](L2Slice::pop_dram) would return now.
+    pub fn peek_dram(&self) -> Option<&DramAccess> {
+        self.dram_out.front()
+    }
+
+    /// Free input-queue slots: requests the slice can accept before its
+    /// next tick services one.
+    pub fn input_room(&self) -> usize {
+        self.input.free_slots()
     }
 
     /// Read-only view of the underlying cache (occupancy, raw tag stats).

@@ -687,6 +687,20 @@ mod tests {
     }
 
     #[test]
+    fn shared_atomic_outside_the_pool_still_fires() {
+        // The worker pool's own per-worker types (named in its fields) may
+        // hold atomics and locks; the domain they hand off and any staging
+        // struct outside the pool may not, however close to the pool.
+        let src = "pub struct ShardPool {\n    inbox: Arc<[Inbox]>,\n    home: Arc<[Home]>,\n}\n\
+                   pub struct Inbox {\n    go: AtomicU64,\n    io: Mutex<DomainIo>,\n}\n\
+                   pub struct Home {\n    domain: Mutex<Option<ShardDomain>>,\n}\n\
+                   pub struct DomainIo {\n    pending: AtomicU64,\n}\n\
+                   pub struct ShardDomain {\n    busy: AtomicU64,\n}\n";
+        let r = cross(&[("crates/dcl1/src/pool.rs", src)]);
+        assert_eq!(rule_lines(&r, "shard_shared_state"), [13, 16], "{:?}", r.findings);
+    }
+
+    #[test]
     fn unreachable_shared_state_does_not_fire() {
         let src = "pub fn coordinator_only() {\n    let m: Mutex<u64> = Mutex::new(0);\n}\n";
         let r = cross(&[("crates/dcl1/src/m.rs", src)]);
