@@ -224,9 +224,9 @@ fn bench_system_step() {
 
 fn bench_system_step_sharded() {
     // Same machine partitioned into 4 execution domains with worker
-    // threads off: measures the pure partitioning overhead (mailbox swap,
-    // per-cluster regrouping, presence-log replay) against the sequential
-    // figure above.
+    // threads off: measures the pure partitioning overhead (staging
+    // buffers, deferred operations, presence-log replay) against the
+    // sequential figure above.
     let cfg = GpuConfig::default();
     let app = by_name("T-AlexNet").unwrap();
     let mut sys =

@@ -13,8 +13,8 @@ use dcl1_workloads::by_name;
 use std::str::FromStr;
 
 /// The same grid the stats-determinism suite covers: a private
-/// aggregation, the fully shared design (shards unaligned), and the
-/// clustered flagship (cluster-aligned).
+/// aggregation, the fully shared design (one crossbar, so one domain),
+/// and the clustered flagship (cluster-aligned).
 const GRID_DESIGNS: [&str; 3] = ["pr4", "sh16", "sh16+c8+boost"];
 
 /// Builds the C-BLK smoke-scale point under `shards` domains and hands the
